@@ -1,24 +1,15 @@
 from setuptools import Extension, setup
 
-# The compiled kernels are optional: without Cython the package still
-# installs and falls back to the pure Python twins at import time.
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    cythonize = None
-
-if cythonize is not None:
-    extensions = cythonize(
-        [
-            Extension(
-                "fqspheres._kernels._ckernels",
-                ["src/fqspheres/_kernels/_ckernels.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-else:
-    extensions = []
-
-setup(ext_modules=extensions)
+# The compiled kernels are optional: if the C extension cannot be built,
+# the package still installs and falls back to the pure Python twins at
+# import time.
+setup(
+    ext_modules=[
+        Extension(
+            "fqspheres._kernels._ckernels",
+            ["src/fqspheres/_kernels/_ckernels.c"],
+            extra_compile_args=["-O3"],
+            optional=True,
+        )
+    ]
+)

@@ -7,6 +7,11 @@ Inputs are flat lists of canonical residues: points are row-major
 n*d, spheres are row-major m*(d+1) with the center first and the
 radius parameter last. Callers validate; kernels trust their input.
 Circle ids encode (a, b, lam) as (a*q + b)*q + lam.
+
+Python integers never overflow, so these kernels accept any q. The
+compiled twin computes in int64 and raises ValueError for a q (or d)
+outside the range where that arithmetic is exact, and for an input
+value that is not a residue in [0, q).
 """
 
 from __future__ import annotations

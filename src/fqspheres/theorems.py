@@ -230,13 +230,19 @@ def determined_circles(
 ) -> set[Sphere]:
     """Circles through at least one non-collinear triple of the set."""
     _require_plane_set(points)
+    q = points.q
     n = len(points)
     triples = n * (n - 1) * (n - 2) // 6
     if triples > budget:
         raise BudgetExceededError(
             f"{triples} triples exceed the budget of {budget}"
         )
-    ids = _kernels.determined_circle_ids(points.q, points.flat())
+    # The kernel flags circles in a table of all q^3 of them.
+    if q**3 > DEFAULT_CIRCLE_BUDGET:
+        raise BudgetExceededError(
+            f"a table of {q**3} circles exceeds the budget of {DEFAULT_CIRCLE_BUDGET}"
+        )
+    ids = _kernels.determined_circle_ids(q, points.flat())
     return {_sphere_from_id(points, cid) for cid in ids}
 
 

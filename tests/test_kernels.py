@@ -42,7 +42,9 @@ def test_backend_is_reported():
 
 
 @needs_compiled
-@pytest.mark.parametrize("q,d", [(3, 2), (5, 2), (5, 3), (7, 2), (7, 3), (11, 2)])
+@pytest.mark.parametrize(
+    "q,d", [(3, 1), (3, 2), (5, 1), (5, 2), (5, 3), (7, 2), (7, 3), (11, 2), (13, 1)]
+)
 def test_incidence_kernels_agree_across_backends(q, d):
     for trial in range(25):
         pts, sph = random_flats(q, d, seed=trial * 7919 + q + d)
@@ -112,8 +114,51 @@ def test_kernels_accept_empty_input():
     assert _pykernels.incidences_bucketed(5, 2, [], [0, 0, 1]) == 0
     assert _pykernels.incidences_lifted(5, 2, [1, 1], []) == 0
     assert _pykernels.determined_circle_ids(5, []) == []
+    assert _pykernels.circle_point_counts(5, []) == [0] * 125
     if _ckernels is not None:
         assert _ckernels.incidences_naive(5, 2, [], []) == 0
         assert _ckernels.incidences_bucketed(5, 2, [], [0, 0, 1]) == 0
         assert _ckernels.incidences_lifted(5, 2, [1, 1], []) == 0
         assert _ckernels.determined_circle_ids(5, []) == []
+        assert _ckernels.circle_point_counts(5, []) == [0] * 125
+
+
+# Each q lies just past its kernel's exact int64 range (the bounds are
+# derived in _ckernels.c); the inputs are empty, so nothing large is allocated.
+OUT_OF_RANGE_CALLS = [
+    ("incidences_naive", (2**32, 1, [], [])),
+    ("incidences_bucketed", (2**32, 1, [], [])),
+    ("incidences_lifted", (2**32, 1, [], [])),
+    ("incidences_naive", (2**31, 2, [], [])),
+    ("paraboloid_diff_table", (2**20, 2)),
+    ("determined_circle_ids", (2**15, [])),
+    ("circle_point_counts", (2**20, [])),
+]
+
+
+@needs_compiled
+@pytest.mark.parametrize(
+    "name,args",
+    OUT_OF_RANGE_CALLS,
+    ids=[f"{name}-q{args[0]}" for name, args in OUT_OF_RANGE_CALLS],
+)
+def test_compiled_kernels_refuse_q_outside_exact_range(name, args):
+    with pytest.raises(ValueError, match="outside the range"):
+        getattr(_ckernels, name)(*args)
+
+
+@needs_compiled
+def test_compiled_kernels_accept_q_at_the_edge_of_their_range():
+    # d*q^2 <= 2^63 - 1 for the incidence engines, q < 2^15 for the circle solve.
+    for name in ("incidences_naive", "incidences_bucketed", "incidences_lifted"):
+        assert getattr(_ckernels, name)(2**31 - 1, 2, [], []) == 0
+    assert _ckernels.determined_circle_ids(2**15 - 1, [0, 0, 1, 1]) == []
+
+
+@needs_compiled
+def test_compiled_kernels_refuse_malformed_input():
+    for bad in ([5, 0], [-1, 0], [0.5, 0]):
+        with pytest.raises((ValueError, TypeError)):
+            _ckernels.incidences_naive(5, 2, bad, [0, 0, 1])
+    with pytest.raises(ValueError):
+        _ckernels.incidences_bucketed(5, 0, [], [])

@@ -23,6 +23,7 @@ from fqspheres import (
     rich_circles,
     sphere_contains,
 )
+from fqspheres import _kernels
 
 F5 = make_field(5)
 F7 = make_field(7)
@@ -252,6 +253,18 @@ def test_determined_circles_requires_plane_and_budget():
     P = random_points(F7, 2, 30, seed=5)
     with pytest.raises(BudgetExceededError):
         determined_circles(P, budget=10)
+
+
+def test_determined_circles_refuses_a_huge_circle_table(monkeypatch):
+    # Three points fit the triple budget, but either backend's kernel
+    # would flag circles in a table of 1627^3 (about 4.3e9) entries.
+    def kernel(q, pts):
+        pytest.fail(f"kernel reached with a table of {q**3} circles")
+
+    monkeypatch.setattr(_kernels, "determined_circle_ids", kernel)
+    P = PointSet(make_field(1627), 2, [(0, 0), (1, 0), (0, 1)])
+    with pytest.raises(BudgetExceededError, match="circles exceeds the budget"):
+        determined_circles(P)
 
 
 def test_rich_circles_against_direct_scan():
